@@ -3,8 +3,7 @@
 //!
 //! Each `render_*` function produces the same rows/series the paper
 //! reports, as plain text, with the paper's published values cited
-//! alongside for comparison. The `experiments` binary drives them; the
-//! Criterion benches reuse the same runners at reduced scale.
+//! alongside for comparison. The `experiments` binary drives them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -201,7 +201,7 @@ pub fn evaluate_predictor(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssfa_logs::{classify, render_support_log_noisy, CascadeStyle, LogLine, NoiseParams};
+    use ssfa_logs::{classify, render_support_log_noisy, CascadeStyle, NoiseParams};
     use ssfa_model::{Fleet, FleetConfig};
     use ssfa_sim::Simulator;
 
@@ -303,6 +303,5 @@ mod tests {
         for pair in eval.alarms.windows(2) {
             assert!(pair[0].at <= pair[1].at);
         }
-        let _ = LogLine::parse; // keep import used in all cfgs
     }
 }

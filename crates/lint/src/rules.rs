@@ -316,8 +316,8 @@ pub fn no_wall_clock(file: &SourceFile, config: &Config, out: &mut Vec<Diagnosti
         out,
         "no-wall-clock",
         |token| format!("`{token}` reads the wall clock in deterministic code"),
-        "inject time as data (SimTime) or move the timing into crates/bench / \
-         crates/criterion; justify exceptions with `// lint: allow(no-wall-clock) <why>`",
+        "inject time as data (SimTime) or move the timing into crates/bench; \
+         justify exceptions with `// lint: allow(no-wall-clock) <why>`",
     );
 }
 

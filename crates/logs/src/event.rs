@@ -15,6 +15,9 @@ use ssfa_model::{
     ShelfModel, SimTime, SlotAddr, SystemClass, SystemId,
 };
 
+use crate::intern::TagId;
+use crate::view::LogLineRef;
+
 /// Severity of a log line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Severity {
@@ -197,45 +200,40 @@ pub enum LogEvent {
 }
 
 impl LogEvent {
+    /// The interned subsystem tag for this event's variant — the one
+    /// place an event's tag is decided; its text and severity follow
+    /// from [`TagId`].
+    pub fn tag_id(&self) -> TagId {
+        match self {
+            LogEvent::FciDeviceTimeout { .. } => TagId::FciDeviceTimeout,
+            LogEvent::FciAdapterReset { .. } => TagId::FciAdapterReset,
+            LogEvent::ScsiCmdAborted { .. } => TagId::ScsiCmdAborted,
+            LogEvent::ScsiSelectionTimeout { .. } => TagId::ScsiSelectionTimeout,
+            LogEvent::ScsiNoMorePaths { .. } => TagId::ScsiNoMorePaths,
+            LogEvent::ScsiPathFailover { .. } => TagId::ScsiPathFailover,
+            LogEvent::DiskMediumError { .. } => TagId::DiskMediumError,
+            LogEvent::ScsiProtocolViolation { .. } => TagId::ScsiProtocolViolation,
+            LogEvent::ScsiSlowResponse { .. } => TagId::ScsiSlowResponse,
+            LogEvent::RaidDiskMissing { .. } => TagId::RaidDiskMissing,
+            LogEvent::RaidDiskFailed { .. } => TagId::RaidDiskFailed,
+            LogEvent::RaidProtocolError { .. } => TagId::RaidProtocolError,
+            LogEvent::RaidDiskSlow { .. } => TagId::RaidDiskSlow,
+            LogEvent::CfgSystem { .. } => TagId::CfgSystem,
+            LogEvent::CfgShelf { .. } => TagId::CfgShelf,
+            LogEvent::CfgRaidGroup { .. } => TagId::CfgRaidGroup,
+            LogEvent::CfgDiskInstall { .. } => TagId::CfgDiskInstall,
+            LogEvent::CfgDiskRemove { .. } => TagId::CfgDiskRemove,
+        }
+    }
+
     /// The subsystem tag rendered inside `[tag:severity]`.
     pub fn tag(&self) -> &'static str {
-        match self {
-            LogEvent::FciDeviceTimeout { .. } => "fci.device.timeout",
-            LogEvent::FciAdapterReset { .. } => "fci.adapter.reset",
-            LogEvent::ScsiCmdAborted { .. } => "scsi.cmd.abortedByHost",
-            LogEvent::ScsiSelectionTimeout { .. } => "scsi.cmd.selectionTimeout",
-            LogEvent::ScsiNoMorePaths { .. } => "scsi.cmd.noMorePaths",
-            LogEvent::ScsiPathFailover { .. } => "scsi.path.failover",
-            LogEvent::DiskMediumError { .. } => "disk.ioMediumError",
-            LogEvent::ScsiProtocolViolation { .. } => "scsi.cmd.protocolViolation",
-            LogEvent::ScsiSlowResponse { .. } => "scsi.cmd.slowResponse",
-            LogEvent::RaidDiskMissing { .. } => "raid.config.filesystem.disk.missing",
-            LogEvent::RaidDiskFailed { .. } => "raid.config.filesystem.disk.failed",
-            LogEvent::RaidProtocolError { .. } => "raid.config.filesystem.disk.protocolError",
-            LogEvent::RaidDiskSlow { .. } => "raid.config.filesystem.disk.slow",
-            LogEvent::CfgSystem { .. } => "cfg.system",
-            LogEvent::CfgShelf { .. } => "cfg.shelf",
-            LogEvent::CfgRaidGroup { .. } => "cfg.raidgroup",
-            LogEvent::CfgDiskInstall { .. } => "cfg.disk.install",
-            LogEvent::CfgDiskRemove { .. } => "cfg.disk.remove",
-        }
+        self.tag_id().as_str()
     }
 
     /// The line severity.
     pub fn severity(&self) -> Severity {
-        match self {
-            LogEvent::FciDeviceTimeout { .. }
-            | LogEvent::ScsiCmdAborted { .. }
-            | LogEvent::ScsiSelectionTimeout { .. }
-            | LogEvent::ScsiNoMorePaths { .. }
-            | LogEvent::ScsiProtocolViolation { .. }
-            | LogEvent::RaidDiskFailed { .. }
-            | LogEvent::RaidProtocolError { .. } => Severity::Error,
-            LogEvent::DiskMediumError { .. }
-            | LogEvent::ScsiSlowResponse { .. }
-            | LogEvent::RaidDiskSlow { .. } => Severity::Warning,
-            _ => Severity::Info,
-        }
+        self.tag_id().severity()
     }
 
     /// Renders the human-readable message after `]: `.
@@ -550,165 +548,6 @@ impl LogEvent {
             _ => 0,
         }
     }
-
-    /// Parses a message back into an event, given the subsystem tag.
-    ///
-    /// Returns `None` when the tag is unknown or the message does not match
-    /// the tag's layout.
-    pub fn parse(tag: &str, message: &str) -> Option<LogEvent> {
-        fn device_after(msg: &str, prefix: &str) -> Option<DeviceAddr> {
-            let rest = msg.strip_prefix(prefix)?;
-            let end = rest.find([':', ' '])?;
-            rest[..end].parse().ok()
-        }
-        fn device_and_serial(msg: &str) -> Option<(DeviceAddr, String)> {
-            let rest = msg.strip_prefix("File system Disk ")?;
-            let sp = rest.find(' ')?;
-            let device: DeviceAddr = rest[..sp].parse().ok()?;
-            let open = rest.find('[')?;
-            let close = rest.find(']')?;
-            if close <= open + 1 {
-                return None;
-            }
-            Some((device, rest[open + 1..close].to_owned()))
-        }
-        fn kv(msg: &str) -> std::collections::HashMap<&str, &str> {
-            msg.split_whitespace()
-                .filter_map(|t| t.split_once('='))
-                .collect()
-        }
-
-        match tag {
-            "fci.device.timeout" => {
-                let idx = message.rfind(" on device ")?;
-                let device: DeviceAddr = message[idx + 11..].trim().parse().ok()?;
-                Some(LogEvent::FciDeviceTimeout { device })
-            }
-            "fci.adapter.reset" => {
-                let rest = message.strip_prefix("Resetting Fibre Channel adapter ")?;
-                let adapter: u8 = rest.trim_end_matches('.').parse().ok()?;
-                Some(LogEvent::FciAdapterReset { adapter })
-            }
-            "scsi.cmd.abortedByHost" => Some(LogEvent::ScsiCmdAborted {
-                device: device_after(message, "Device ")?,
-            }),
-            "scsi.cmd.selectionTimeout" => Some(LogEvent::ScsiSelectionTimeout {
-                device: device_after(message, "Device ")?,
-            }),
-            "scsi.cmd.noMorePaths" => Some(LogEvent::ScsiNoMorePaths {
-                device: device_after(message, "Device ")?,
-            }),
-            "scsi.path.failover" => Some(LogEvent::ScsiPathFailover {
-                device: device_after(message, "Device ")?,
-            }),
-            "disk.ioMediumError" => {
-                let device = device_after(message, "Device ")?;
-                let idx = message.find("sector ")?;
-                let rest = &message[idx + 7..];
-                let end = rest.find('.')?;
-                let sector: u64 = rest[..end].parse().ok()?;
-                Some(LogEvent::DiskMediumError { device, sector })
-            }
-            "scsi.cmd.protocolViolation" => Some(LogEvent::ScsiProtocolViolation {
-                device: device_after(message, "Device ")?,
-            }),
-            "scsi.cmd.slowResponse" => {
-                let device = device_after(message, "Device ")?;
-                let open = message.find('(')?;
-                let end = message.find(" ms)")?;
-                let latency_ms: u32 = message[open + 1..end].parse().ok()?;
-                Some(LogEvent::ScsiSlowResponse { device, latency_ms })
-            }
-            "raid.config.filesystem.disk.missing" => {
-                let (device, serial) = device_and_serial(message)?;
-                Some(LogEvent::RaidDiskMissing { device, serial })
-            }
-            "raid.config.filesystem.disk.failed" => {
-                let (device, serial) = device_and_serial(message)?;
-                Some(LogEvent::RaidDiskFailed { device, serial })
-            }
-            "raid.config.filesystem.disk.protocolError" => {
-                let (device, serial) = device_and_serial(message)?;
-                Some(LogEvent::RaidProtocolError { device, serial })
-            }
-            "raid.config.filesystem.disk.slow" => {
-                let (device, serial) = device_and_serial(message)?;
-                Some(LogEvent::RaidDiskSlow { device, serial })
-            }
-            "cfg.system" => {
-                let kv = kv(message);
-                Some(LogEvent::CfgSystem {
-                    class: SystemClass::from_tag(kv.get("class")?)?,
-                    disk_model: DiskModelId::parse(kv.get("disk_model")?)?,
-                    shelf_model: ShelfModel::from_letter(kv.get("shelf_model")?.chars().next()?)?,
-                    paths: match *kv.get("paths")? {
-                        "1" => PathConfig::SinglePath,
-                        "2" => PathConfig::DualPath,
-                        _ => return None,
-                    },
-                    layout: match *kv.get("layout")? {
-                        "span-shelves" => LayoutPolicy::SpanShelves,
-                        "same-shelf" => LayoutPolicy::SameShelf,
-                        _ => return None,
-                    },
-                })
-            }
-            "cfg.shelf" => {
-                let kv = kv(message);
-                Some(LogEvent::CfgShelf {
-                    shelf: ShelfId(kv.get("shelf")?.parse().ok()?),
-                    model: ShelfModel::from_letter(kv.get("model")?.chars().next()?)?,
-                    fc_loop: LoopId(kv.get("loop")?.parse().ok()?),
-                    adapter: kv.get("adapter")?.parse().ok()?,
-                    position: kv.get("position")?.parse().ok()?,
-                    bays: kv.get("bays")?.parse().ok()?,
-                })
-            }
-            "cfg.raidgroup" => {
-                let kv = kv(message);
-                let slots = kv
-                    .get("slots")?
-                    .split(',')
-                    .map(|pair| {
-                        let (shelf, bay) = pair.split_once(':')?;
-                        Some(SlotAddr {
-                            shelf: ShelfId(shelf.parse().ok()?),
-                            bay: bay.parse().ok()?,
-                        })
-                    })
-                    .collect::<Option<Vec<_>>>()?;
-                Some(LogEvent::CfgRaidGroup {
-                    rg: RaidGroupId(kv.get("rg")?.parse().ok()?),
-                    raid_type: match *kv.get("type")? {
-                        "RAID4" => RaidType::Raid4,
-                        "RAID6" => RaidType::Raid6,
-                        _ => return None,
-                    },
-                    slots,
-                })
-            }
-            "cfg.disk.install" => {
-                let kv = kv(message);
-                Some(LogEvent::CfgDiskInstall {
-                    serial: (*kv.get("serial")?).to_owned(),
-                    model: DiskModelId::parse(kv.get("model")?)?,
-                    slot: SlotAddr {
-                        shelf: ShelfId(kv.get("shelf")?.parse().ok()?),
-                        bay: kv.get("bay")?.parse().ok()?,
-                    },
-                    device: kv.get("device")?.parse().ok()?,
-                })
-            }
-            "cfg.disk.remove" => {
-                let kv = kv(message);
-                Some(LogEvent::CfgDiskRemove {
-                    serial: (*kv.get("serial")?).to_owned(),
-                    reason: (*kv.get("reason")?).to_owned(),
-                })
-            }
-            _ => None,
-        }
-    }
 }
 
 /// Appends `v`'s decimal digits without going through `fmt`.
@@ -792,30 +631,13 @@ impl LogLine {
         self.event.push_message(out);
     }
 
-    /// Parses one rendered line.
+    /// Parses one rendered line into an owned line through
+    /// [`LogLineRef::parse`], the crate's one log-line parser.
     ///
     /// Returns `None` for malformed lines (the classifier skips them, as
     /// real log pipelines must).
     pub fn parse(line: &str) -> Option<LogLine> {
-        let line = line.trim_end();
-        let (host_tok, rest) = line.split_once(' ')?;
-        let host = SystemId(host_tok.strip_prefix("sys-")?.parse().ok()?);
-        // Timestamp: "Sun Jul 23 05:43:36 PDT 2006" = 6 whitespace-separated
-        // tokens, but the day-of-month may be space-padded.
-        let rest = rest.trim_start();
-        let bracket = rest.find('[')?;
-        let ts_text = rest[..bracket].trim();
-        let at = ssfa_model::CivilDateTime::parse_log_timestamp(ts_text)?.to_sim_time()?;
-        let rest = &rest[bracket + 1..];
-        let close = rest.find("]: ")?;
-        let (tag, severity_tag) = rest[..close].rsplit_once(':')?;
-        let severity = Severity::from_tag(severity_tag)?;
-        let message = &rest[close + 3..];
-        let event = LogEvent::parse(tag, message)?;
-        if event.severity() != severity {
-            return None;
-        }
-        Some(LogLine { host, at, event })
+        LogLineRef::parse(line).map(|v| v.to_owned())
     }
 }
 
@@ -1062,29 +884,6 @@ mod tests {
             "sys-7 Sun Jul 23 05:43:36 PDT 2006 [fci.device.timeout:error]: \
              Adapter 8 encountered a device timeout on device 8.24"
         );
-    }
-
-    #[test]
-    fn malformed_lines_parse_to_none() {
-        assert!(LogLine::parse("").is_none());
-        assert!(LogLine::parse("garbage line").is_none());
-        assert!(LogLine::parse("sys-x Sun Jul 23 05:43:36 PDT 2006 [a:info]: b").is_none());
-        assert!(
-            LogLine::parse("sys-1 Sun Jul 23 05:43:36 PDT 2006 [unknown.tag:error]: whatever")
-                .is_none()
-        );
-        // Severity mismatch is rejected.
-        assert!(LogLine::parse(
-            "sys-1 Sun Jul 23 05:43:36 PDT 2006 [fci.device.timeout:info]: \
-             Adapter 8 encountered a device timeout on device 8.24"
-        )
-        .is_none());
-        // Truncated payload.
-        assert!(LogLine::parse(
-            "sys-1 Sun Jul 23 05:43:36 PDT 2006 [raid.config.filesystem.disk.missing:info]: \
-             File system Disk 8.24 S/N ["
-        )
-        .is_none());
     }
 
     #[test]

@@ -4,9 +4,12 @@
 //! comparison-cheap:
 //!
 //! - [`TagId`]: the closed set of subsystem tags that can appear inside
-//!   `[tag:severity]`. The borrowed parser resolves the tag text to a
-//!   `TagId` once; every later decision (severity check, event-layout
-//!   dispatch) is an integer compare instead of a string compare.
+//!   `[tag:severity]`, and the one table of each tag's text and
+//!   severity ([`crate::LogEvent::tag`] and [`crate::LogEvent::severity`]
+//!   read it through [`crate::LogEvent::tag_id`]). The parser resolves
+//!   the tag text to a `TagId` once; every later decision (severity
+//!   check, event-layout dispatch) is an integer compare instead of a
+//!   string compare.
 //! - [`HostInterner`]: maps [`SystemId`]s to dense `u32` bucket indices in
 //!   first-appearance order. [`crate::classify_parallel`] buckets every
 //!   line by emitting host; the interner answers that lookup from a flat
@@ -85,7 +88,7 @@ pub const ALL_TAGS: [TagId; 18] = [
 
 impl TagId {
     /// Resolves tag text to its interned id. Returns `None` for unknown
-    /// tags — exactly the lines [`crate::LogLine::parse`] rejects.
+    /// tags, whose lines [`crate::LogLineRef::parse`] rejects.
     pub fn lookup(tag: &str) -> Option<TagId> {
         Some(match tag {
             "fci.device.timeout" => TagId::FciDeviceTimeout,
@@ -134,9 +137,9 @@ impl TagId {
         }
     }
 
-    /// The fixed severity every line carrying this tag renders with —
-    /// agrees with [`crate::LogEvent::severity`] variant for variant
-    /// (severity is a function of the tag alone).
+    /// The fixed severity every line carrying this tag renders with
+    /// (severity is a function of the tag alone);
+    /// [`crate::LogEvent::severity`] reads it from here.
     pub fn severity(self) -> Severity {
         match self {
             TagId::FciDeviceTimeout
@@ -225,8 +228,6 @@ impl HostInterner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{LogEvent, LogLine};
-    use ssfa_model::{DeviceAddr, SimTime};
 
     #[test]
     fn tag_strings_round_trip_through_the_intern_table() {
@@ -235,62 +236,6 @@ mod tests {
         }
         assert_eq!(TagId::lookup("raid.config.filesystem.disk.unknown"), None);
         assert_eq!(TagId::lookup(""), None);
-    }
-
-    #[test]
-    fn tag_severity_agrees_with_the_owned_event_severity() {
-        // One representative owned event per tag; the interned severity
-        // must match what the renderer would emit.
-        let d = DeviceAddr::new(8, 24);
-        let s = || "3EL00000042A".to_owned();
-        let events = [
-            LogEvent::FciDeviceTimeout { device: d },
-            LogEvent::FciAdapterReset { adapter: 8 },
-            LogEvent::ScsiCmdAborted { device: d },
-            LogEvent::ScsiSelectionTimeout { device: d },
-            LogEvent::ScsiNoMorePaths { device: d },
-            LogEvent::ScsiPathFailover { device: d },
-            LogEvent::DiskMediumError {
-                device: d,
-                sector: 7,
-            },
-            LogEvent::ScsiProtocolViolation { device: d },
-            LogEvent::ScsiSlowResponse {
-                device: d,
-                latency_ms: 9,
-            },
-            LogEvent::RaidDiskMissing {
-                device: d,
-                serial: s(),
-            },
-            LogEvent::RaidDiskFailed {
-                device: d,
-                serial: s(),
-            },
-            LogEvent::RaidProtocolError {
-                device: d,
-                serial: s(),
-            },
-            LogEvent::RaidDiskSlow {
-                device: d,
-                serial: s(),
-            },
-        ];
-        for event in events {
-            let tag = TagId::lookup(event.tag()).expect("every rendered tag interns");
-            assert_eq!(tag.severity(), event.severity(), "{}", event.tag());
-        }
-        // And the cfg records (all Info) via a rendered line round trip.
-        let line = LogLine::new(
-            SystemId(3),
-            SimTime::from_secs(1000),
-            LogEvent::CfgDiskRemove {
-                serial: s(),
-                reason: "failed".to_owned(),
-            },
-        );
-        let tag = TagId::lookup(line.event.tag()).unwrap();
-        assert_eq!(tag.severity(), Severity::Info);
     }
 
     #[test]

@@ -1,20 +1,19 @@
 //! Borrowed, zero-allocation views of log lines.
 //!
-//! [`LogLineRef`] is the hot-path twin of [`LogLine`]:
-//! the same grammar, the same accept/reject decisions, but every
-//! variable-width field (`serial`, `reason`, the raid-group member list)
-//! is a slice borrowed from the input text instead of an owned `String`.
-//! A chunk worker can therefore parse and classify a whole rendered shard
-//! without allocating per line — the classifier consumes the view and
-//! only the handful of state-changing records (installs, topology) ever
-//! reach owned storage.
+//! [`LogLineRef::parse`] is the crate's one log-line parser; the owned
+//! [`LogLine::parse`](crate::LogLine::parse) is `LogLineRef::parse`
+//! followed by [`LogLineRef::to_owned`]. [`LogLineRef`] is the borrowed
+//! twin of [`LogLine`]: every variable-width field (`serial`, `reason`,
+//! the raid-group member list) is a slice borrowed from the input text
+//! instead of an owned `String`. A chunk worker can therefore parse and
+//! classify a whole rendered shard without allocating per line — the
+//! classifier consumes the view and only the handful of state-changing
+//! records (installs, topology) ever reach owned storage.
 //!
-//! Equivalence with the owned parser is load-bearing and proven three
-//! ways: [`LogLineRef::from_owned`] lets the owned feed path delegate to
-//! the view path (equal by construction), `to_owned` round-trips are
-//! unit-tested against [`LogLine::parse`](crate::LogLine::parse) here,
-//! and `crates/logs/tests/parser_equivalence.rs` fuzzes both parsers
-//! over well-formed, malformed, truncated, and UTF-8-boundary inputs.
+//! The grammar is checked against an independent owned reference parser
+//! kept in the crate's tests: `crates/logs/tests/parser_equivalence.rs`
+//! fuzzes both over well-formed, malformed, truncated, and UTF-8-boundary
+//! inputs and requires exact accept/reject agreement.
 
 use ssfa_model::{
     DeviceAddr, DiskModelId, LayoutPolicy, LoopId, PathConfig, RaidGroupId, RaidType, ShelfId,
@@ -38,7 +37,7 @@ pub enum SlotsRef<'a> {
 
 impl<'a> SlotsRef<'a> {
     /// Validates and wraps a rendered member list. Applies exactly the
-    /// owned parser's grammar: comma-separated `shelf:bay` pairs, every
+    /// reference parser's grammar: comma-separated `shelf:bay` pairs, every
     /// pair must split on `:` with a `u32` shelf and `u8` bay — so an
     /// empty list (or any bad pair) rejects, as it does there.
     fn parse(text: &'a str) -> Option<SlotsRef<'a>> {
@@ -273,7 +272,7 @@ fn canonical_kv<'a, const N: usize>(msg: &'a str, keys: [&str; N]) -> Option<[Op
 
 /// Last-wins scan for `key=value` whitespace-separated tokens.
 ///
-/// Equivalent to the owned parser's `HashMap` collect for any fixed key
+/// Equivalent to the reference parser's `HashMap` collect for any fixed key
 /// set: collecting into a map lets later duplicates overwrite earlier
 /// ones, so per key the map holds the *last* occurrence — which is what
 /// this scan keeps — and unknown keys are ignored by both.
@@ -318,7 +317,7 @@ fn kv_scan<'a, const N: usize>(msg: &'a str, keys: [&str; N]) -> [Option<&'a str
 }
 
 /// Fallback for messages containing non-ASCII bytes, where whitespace
-/// splitting must honor Unicode whitespace exactly as the owned parser's
+/// splitting must honor Unicode whitespace exactly as the reference parser's
 /// `split_whitespace` does.
 fn kv_scan_unicode<'a, const N: usize>(msg: &'a str, keys: [&str; N]) -> [Option<&'a str>; N] {
     let mut out = [None; N];
@@ -482,7 +481,7 @@ fn device_and_serial(msg: &str) -> Option<(DeviceAddr, &str)> {
 
 impl<'a> EventRef<'a> {
     /// Parses a message into a borrowed event, given the interned tag.
-    /// Accepts and rejects exactly the inputs [`LogEvent::parse`] does.
+    /// Returns `None` when the message does not match the tag's layout.
     pub fn parse(tag: TagId, message: &'a str) -> Option<EventRef<'a>> {
         match tag {
             TagId::FciDeviceTimeout => {
@@ -843,10 +842,9 @@ pub struct LogLineRef<'a> {
 impl<'a> LogLineRef<'a> {
     /// Parses one rendered line without allocating.
     ///
-    /// Accepts and rejects exactly the inputs [`LogLine::parse`] does —
-    /// including the severity cross-check (severity is a function of the
-    /// tag, so the interned [`TagId::severity`] stands in for the owned
-    /// parser's post-parse `event.severity()` comparison).
+    /// Returns `None` for malformed lines: an unknown tag, a message that
+    /// does not match its tag's layout, or a severity other than the
+    /// tag's fixed [`TagId::severity`].
     pub fn parse(line: &'a str) -> Option<LogLineRef<'a>> {
         if let Some(view) = Self::parse_canonical(line) {
             return Some(view);
@@ -881,7 +879,7 @@ impl<'a> LogLineRef<'a> {
     /// separators and nothing trailing. Any deviation — extra spaces,
     /// trailing whitespace, a non-ASCII byte anywhere it would change
     /// tokenization — returns `None` so the general path above (the
-    /// proven equivalent of the owned parser) makes the call.
+    /// proven equivalent of the reference parser) makes the call.
     // lint: fast-path(LogLineRef::parse)
     fn parse_canonical(line: &'a str) -> Option<LogLineRef<'a>> {
         let b = line.as_bytes();
@@ -952,161 +950,8 @@ impl<'a> LogLineRef<'a> {
         LogLineRef {
             host: line.host,
             at: line.at,
-            tag: TagId::lookup(line.event.tag()).expect("owned tags always intern"),
+            tag: line.event.tag_id(),
             event: EventRef::from_owned(&line.event),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::event::LogEvent;
-    use ssfa_model::DiskInstanceId;
-
-    fn sample_lines() -> Vec<String> {
-        let d = DeviceAddr::new(8, 24);
-        let serial = DiskInstanceId(31337).serial();
-        let events = vec![
-            LogEvent::FciDeviceTimeout { device: d },
-            LogEvent::FciAdapterReset { adapter: 8 },
-            LogEvent::ScsiCmdAborted { device: d },
-            LogEvent::ScsiSelectionTimeout { device: d },
-            LogEvent::ScsiNoMorePaths { device: d },
-            LogEvent::ScsiPathFailover { device: d },
-            LogEvent::DiskMediumError {
-                device: d,
-                sector: 123_456_789,
-            },
-            LogEvent::ScsiProtocolViolation { device: d },
-            LogEvent::ScsiSlowResponse {
-                device: d,
-                latency_ms: 30_000,
-            },
-            LogEvent::RaidDiskMissing {
-                device: d,
-                serial: serial.clone(),
-            },
-            LogEvent::RaidDiskFailed {
-                device: d,
-                serial: serial.clone(),
-            },
-            LogEvent::RaidProtocolError {
-                device: d,
-                serial: serial.clone(),
-            },
-            LogEvent::RaidDiskSlow {
-                device: d,
-                serial: serial.clone(),
-            },
-            LogEvent::CfgSystem {
-                class: SystemClass::MidRange,
-                disk_model: DiskModelId::new('D', 2),
-                shelf_model: ShelfModel::B,
-                paths: PathConfig::DualPath,
-                layout: LayoutPolicy::SpanShelves,
-            },
-            LogEvent::CfgShelf {
-                shelf: ShelfId(1234),
-                model: ShelfModel::C,
-                fc_loop: LoopId(88),
-                adapter: 9,
-                position: 2,
-                bays: 13,
-            },
-            LogEvent::CfgRaidGroup {
-                rg: RaidGroupId(55),
-                raid_type: RaidType::Raid6,
-                slots: vec![
-                    SlotAddr {
-                        shelf: ShelfId(1),
-                        bay: 0,
-                    },
-                    SlotAddr {
-                        shelf: ShelfId(2),
-                        bay: 7,
-                    },
-                ],
-            },
-            LogEvent::CfgDiskInstall {
-                serial: serial.clone(),
-                model: DiskModelId::new('H', 2),
-                slot: SlotAddr {
-                    shelf: ShelfId(9),
-                    bay: 13,
-                },
-                device: DeviceAddr::new(8, 45),
-            },
-            LogEvent::CfgDiskRemove {
-                serial,
-                reason: "failed".to_owned(),
-            },
-        ];
-        events
-            .into_iter()
-            .map(|event| {
-                LogLine::new(SystemId(42), SimTime::from_secs(79_876_543), event).to_string()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn borrowed_parse_matches_owned_parse_on_every_event_kind() {
-        for text in sample_lines() {
-            let owned = LogLine::parse(&text).expect("owned parser accepts rendered lines");
-            let view = LogLineRef::parse(&text).expect("borrowed parser accepts rendered lines");
-            assert_eq!(view.to_owned(), owned, "mismatch for: {text}");
-            assert_eq!(view.tag.as_str(), owned.event.tag());
-        }
-    }
-
-    #[test]
-    fn borrowed_parse_rejects_what_the_owned_parser_rejects() {
-        let cases = [
-            "",
-            "garbage line",
-            "sys-x Sun Jul 23 05:43:36 PDT 2006 [a:info]: b",
-            "sys-1 Sun Jul 23 05:43:36 PDT 2006 [unknown.tag:error]: whatever",
-            // Severity mismatch.
-            "sys-1 Sun Jul 23 05:43:36 PDT 2006 [fci.device.timeout:info]: \
-             Adapter 8 encountered a device timeout on device 8.24",
-            // Truncated payload.
-            "sys-1 Sun Jul 23 05:43:36 PDT 2006 [raid.config.filesystem.disk.missing:info]: \
-             File system Disk 8.24 S/N [",
-            // Raid group with a malformed member pair.
-            "sys-1 Sun Jul 23 05:43:36 PDT 2006 [cfg.raidgroup:info]: \
-             rg=55 type=RAID6 slots=1:0,borked",
-            // Empty member list.
-            "sys-1 Sun Jul 23 05:43:36 PDT 2006 [cfg.raidgroup:info]: rg=55 type=RAID6 slots=",
-        ];
-        for text in cases {
-            assert!(LogLine::parse(text).is_none(), "owned accepted: {text:?}");
-            assert!(
-                LogLineRef::parse(text).is_none(),
-                "borrowed accepted: {text:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn duplicate_kv_tokens_are_last_wins_in_both_parsers() {
-        let text = "sys-1 Sun Jul 23 05:43:36 PDT 2006 [cfg.disk.remove:info]: \
-                    serial=3ELAAAAAAAA reason=study_end reason=failed";
-        let owned = LogLine::parse(text).unwrap();
-        let view = LogLineRef::parse(text).unwrap();
-        assert_eq!(view.to_owned(), owned);
-        match view.event {
-            EventRef::CfgDiskRemove { reason, .. } => assert_eq!(reason, "failed"),
-            _ => panic!("wrong variant"),
-        }
-    }
-
-    #[test]
-    fn from_owned_round_trips_through_to_owned() {
-        for text in sample_lines() {
-            let owned = LogLine::parse(&text).unwrap();
-            let view = LogLineRef::from_owned(&owned);
-            assert_eq!(view.to_owned(), owned);
         }
     }
 }

@@ -1,10 +1,12 @@
-//! Differential fuzzing of the zero-copy parser against the owned parser.
+//! Differential fuzzing of the production parser against the owned
+//! reference parser.
 //!
-//! [`LogLineRef::parse`] is the hot path: a byte-oriented parser with a
-//! fixed-layout canonical fast path (`parse_canonical`, fused timestamp
-//! decode, fused `cfg.disk.install` decode) that bails to a general
-//! token path on any deviation. [`LogLine::parse`] is the original
-//! `String`-allocating parser. The contract is *exact* accept/reject
+//! [`LogLineRef::parse`] is the library's one log-line parser: a
+//! byte-oriented parser with a fixed-layout canonical fast path
+//! (`parse_canonical`, fused timestamp decode, fused `cfg.disk.install`
+//! decode) that bails to a general token path on any deviation.
+//! `support::parse_line` is the original `String`-allocating parser,
+//! kept here as the reference. The contract is *exact* accept/reject
 //! equivalence: for every input — well-formed, near-miss, mutated,
 //! truncated, or adversarial — both parsers must agree on `Some`/`None`,
 //! and on accept the borrowed view's `to_owned()` must equal the owned
@@ -13,14 +15,26 @@
 //! whitespace, multi-colon tags, brackets inside free-content timestamp
 //! tokens, non-ASCII bytes, and single-character edits of valid lines.
 
+mod support;
+
 use proptest::prelude::*;
 
-use ssfa_logs::{LogLine, LogLineRef};
+use ssfa_logs::intern::ALL_TAGS;
+use ssfa_logs::{EventRef, LogLine, LogLineRef};
 use ssfa_model::{CivilDateTime, SimTime};
 
 fn assert_equivalent(line: &str) -> Result<(), TestCaseError> {
-    let owned = LogLine::parse(line);
-    let viewed = LogLineRef::parse(line).map(|v| v.to_owned());
+    let owned = support::parse_line(line);
+    let view = LogLineRef::parse(line);
+    if let Some(v) = &view {
+        prop_assert_eq!(
+            v.tag,
+            v.event.tag(),
+            "interned tag disagrees with the event on {:?}",
+            line
+        );
+    }
+    let viewed = view.map(|v| v.to_owned());
     prop_assert_eq!(
         &viewed,
         &owned,
@@ -66,6 +80,14 @@ fn rendered_lines() -> Vec<String> {
             device: d,
             serial: serial.clone(),
         },
+        LogEvent::RaidProtocolError {
+            device: d,
+            serial: serial.clone(),
+        },
+        LogEvent::RaidDiskSlow {
+            device: d,
+            serial: serial.clone(),
+        },
         LogEvent::CfgSystem {
             class: SystemClass::LowEnd,
             disk_model: DiskModelId::new('A', 1),
@@ -96,7 +118,7 @@ fn rendered_lines() -> Vec<String> {
             ],
         },
         LogEvent::CfgDiskInstall {
-            serial,
+            serial: serial.clone(),
             model: DiskModelId::new('B', 2),
             slot: SlotAddr {
                 shelf: ShelfId(3),
@@ -104,12 +126,40 @@ fn rendered_lines() -> Vec<String> {
             },
             device: d,
         },
+        LogEvent::CfgDiskRemove {
+            serial,
+            reason: "failed".to_owned(),
+        },
     ];
     events
         .into_iter()
         .map(|event| LogLine::new(SystemId(17), SimTime::from_secs(79_876_543), event).to_string())
         .collect()
 }
+
+/// Hand-picked near-misses both parsers must reject: unknown tags,
+/// severity mismatch, truncated payload, malformed raid-group members.
+const REJECTED_LINES: [&str; 8] = [
+    "",
+    "garbage line",
+    "sys-x Sun Jul 23 05:43:36 PDT 2006 [a:info]: b",
+    "sys-1 Sun Jul 23 05:43:36 PDT 2006 [unknown.tag:error]: whatever",
+    // Severity mismatch.
+    "sys-1 Sun Jul 23 05:43:36 PDT 2006 [fci.device.timeout:info]: \
+     Adapter 8 encountered a device timeout on device 8.24",
+    // Truncated payload.
+    "sys-1 Sun Jul 23 05:43:36 PDT 2006 [raid.config.filesystem.disk.missing:info]: \
+     File system Disk 8.24 S/N [",
+    // Raid group with a malformed member pair.
+    "sys-1 Sun Jul 23 05:43:36 PDT 2006 [cfg.raidgroup:info]: \
+     rg=55 type=RAID6 slots=1:0,borked",
+    // Empty member list.
+    "sys-1 Sun Jul 23 05:43:36 PDT 2006 [cfg.raidgroup:info]: rg=55 type=RAID6 slots=",
+];
+
+/// A duplicated kv key: both parsers keep the last occurrence.
+const DUPLICATE_KEY_LINE: &str = "sys-1 Sun Jul 23 05:43:36 PDT 2006 [cfg.disk.remove:info]: \
+                                  serial=3ELAAAAAAAA reason=study_end reason=failed";
 
 proptest! {
     /// Arbitrary unicode soup: both parsers agree (almost always on
@@ -131,6 +181,15 @@ proptest! {
         payload in "[a-z0-9=. \\-]{0,80}",
     ) {
         assert_equivalent(&format!("sys-{host} {ts} [{tag}:{sev}]: {payload}"))?;
+        for line in REJECTED_LINES {
+            prop_assert!(support::parse_line(line).is_none(), "reference accepted: {:?}", line);
+            assert_equivalent(line)?;
+        }
+        assert_equivalent(DUPLICATE_KEY_LINE)?;
+        match LogLineRef::parse(DUPLICATE_KEY_LINE).map(|v| v.event) {
+            Some(EventRef::CfgDiskRemove { reason, .. }) => prop_assert_eq!(reason, "failed"),
+            other => prop_assert!(false, "wrong parse: {:?}", other),
+        }
     }
 
     /// Every rendered event shape round-trips through BOTH parsers to the
@@ -138,9 +197,14 @@ proptest! {
     /// shared rejection).
     #[test]
     fn rendered_lines_are_accepted_identically(extra_ws in 0usize..4, trailing in "[ \t]{0,3}") {
+        let mut tags = Vec::new();
         for line in rendered_lines() {
-            let owned = LogLine::parse(&line);
-            prop_assert!(owned.is_some(), "rendered line must parse: {line}");
+            let Some(owned) = support::parse_line(&line) else {
+                return Err(TestCaseError::fail(format!("rendered line must parse: {line}")));
+            };
+            tags.push(owned.event.tag_id());
+            // The owned feed path borrows through `from_owned`.
+            prop_assert_eq!(LogLineRef::from_owned(&owned).to_owned(), owned);
             assert_equivalent(&line)?;
             // trim_end equivalence: trailing ASCII whitespace is cosmetic.
             assert_equivalent(&format!("{line}{trailing}"))?;
@@ -150,6 +214,8 @@ proptest! {
             let spaced = line.replacen(' ', &" ".repeat(1 + extra_ws), 3);
             assert_equivalent(&spaced)?;
         }
+        tags.sort();
+        prop_assert_eq!(tags, ALL_TAGS.to_vec(), "rendered_lines must cover every tag once");
     }
 
     /// Single-character deletion at every position of every rendered

@@ -17,7 +17,6 @@ use crate::exec::Engine;
 use crate::health::{RunHealth, StreamStats};
 use crate::plan::ChunkPolicy;
 use crate::reduce::StudyReduce;
-use crate::sink::Sink;
 use crate::source::{MonolithicSource, SimSource, Source};
 use crate::transport::{InjectedText, ParsedLines, TextRoundTrip, Transport};
 
@@ -282,19 +281,6 @@ impl Pipeline {
     /// As for [`Pipeline::run`].
     pub fn run_streaming_with_stats(&self) -> Result<(Study, StreamStats), PipelineError> {
         self.run_streaming().map(|(study, stats, _)| (study, stats))
-    }
-
-    /// [`Pipeline::run_with_health`], then hands the study and audit to
-    /// `sink` — the Sink stage seam for report/JSON writers.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Pipeline::run_with_health`], plus
-    /// [`PipelineError::Sink`] if the sink's writer fails.
-    pub fn run_to_sink(&self, sink: &mut dyn Sink) -> Result<(Study, RunHealth), PipelineError> {
-        let (study, health) = self.run_with_health()?;
-        sink.consume(&study, &health).map_err(PipelineError::Sink)?;
-        Ok((study, health))
     }
 
     /// The single-buffer reference configuration: the whole corpus as one

@@ -3,7 +3,9 @@
 
 use ssfa_logs::{ChunkPlan, Strictness};
 use ssfa_model::{FleetConfig, SystemClass, SystemId};
-use ssfa_pipeline::{ChunkPolicy, JsonSummarySink, Pipeline, ShardData, Source, TextReportSink};
+use ssfa_pipeline::{
+    ChunkPolicy, JsonSummarySink, Pipeline, PipelineError, ShardData, Sink, Source, TextReportSink,
+};
 
 /// A source with nothing to yield: the engine must short-circuit without
 /// planning chunks, spawning workers, or touching `load`.
@@ -65,8 +67,9 @@ fn empty_source_reports_the_configured_strictness() {
 #[test]
 fn sinks_receive_the_same_run_the_caller_gets_back() {
     let pipeline = tiny_pipeline();
+    let (study, health) = pipeline.run_with_health().unwrap();
     let mut sink = TextReportSink::new(Vec::new());
-    let (study, health) = pipeline.run_to_sink(&mut sink).unwrap();
+    sink.consume(&study, &health).unwrap();
     let text = String::from_utf8(sink.into_inner()).unwrap();
     assert!(
         text.contains(&format!("{health}").lines().next().unwrap().to_owned()),
@@ -79,7 +82,7 @@ fn sinks_receive_the_same_run_the_caller_gets_back() {
     );
 
     let mut json = JsonSummarySink::new(Vec::new());
-    pipeline.run_to_sink(&mut json).unwrap();
+    json.consume(&study, &health).unwrap();
     let text = String::from_utf8(json.into_inner()).unwrap();
     assert!(text.contains("\"schema\": \"ssfa-run-summary/v1\""));
     assert!(text.contains("\"shards_total\": 1"));
@@ -98,8 +101,10 @@ fn failing_sink_surfaces_as_a_sink_error() {
             Ok(())
         }
     }
-    let err = tiny_pipeline()
-        .run_to_sink(&mut TextReportSink::new(Refuse))
+    let (study, health) = tiny_pipeline().run_with_health().unwrap();
+    let err = TextReportSink::new(Refuse)
+        .consume(&study, &health)
+        .map_err(PipelineError::Sink)
         .unwrap_err();
     let msg = err.to_string();
     assert!(

@@ -15,7 +15,8 @@
 use std::path::{Path, PathBuf};
 
 use ssfa::logs::{
-    CascadeStyle, CorpusError, CorpusReader, CorpusWriter, Strictness, HEADER_LEN, MANIFEST_NAME,
+    encode_frame, CascadeStyle, CorpusError, CorpusReader, CorpusWriter, Strictness, HEADER_LEN,
+    MANIFEST_NAME,
 };
 use ssfa::model::SystemId;
 use ssfa::pipeline::Source;
@@ -192,6 +193,51 @@ fn trailing_garbage_after_the_last_frame_is_typed_and_pinned() {
     assert_eq!(
         err.to_string(),
         "corpus segment 0: 4 trailing byte(s) after the last frame"
+    );
+}
+
+/// A shard whose frame is intact but whose text holds a malformed line:
+/// the payload is edited, the frame re-encoded with a fresh checksum, and
+/// the manifest digest updated, so only the deep (parsing) verify can
+/// tell.
+#[test]
+fn deep_verify_rejects_a_malformed_line_behind_a_valid_frame() {
+    let tmp = TempDir::new("deep-verify");
+    build_corpus(&tmp.0, 0.001, 3);
+    let entry = CorpusReader::open(&tmp.0).unwrap().manifest().shards[0];
+    let seg = segment0(&tmp.0);
+    let mut bytes = std::fs::read(&seg).unwrap();
+    let start = entry.offset as usize + HEADER_LEN;
+    let end = start + entry.payload_len as usize;
+    let mut payload = bytes[start..end].to_vec();
+    // Line 2's host token "sys-N" becomes "xys-N": same length, so every
+    // later frame keeps its offset.
+    let line2 = payload.iter().position(|&b| b == b'\n').unwrap() + 1;
+    assert_eq!(payload[line2], b's');
+    payload[line2] = b'x';
+    let mut frame = Vec::new();
+    let header = encode_frame(&mut frame, entry.system_id, entry.line_count, &payload);
+    bytes[entry.offset as usize..end].copy_from_slice(&frame);
+    std::fs::write(&seg, bytes).unwrap();
+    let manifest_path = tmp.0.join(MANIFEST_NAME);
+    let text = std::fs::read_to_string(&manifest_path).unwrap();
+    let doctored = text.replace(
+        &format!("{:016x}", entry.checksum),
+        &format!("{:016x}", header.checksum),
+    );
+    assert_ne!(doctored, text, "digest not found in manifest");
+    std::fs::write(&manifest_path, doctored).unwrap();
+
+    let reader = CorpusReader::open(&tmp.0).unwrap();
+    reader
+        .verify(false)
+        .expect("frames and manifest are consistent");
+    let err = reader.verify(true).unwrap_err();
+    assert!(matches!(err, CorpusError::Log(_)), "{err:?}");
+    assert_eq!(
+        err.to_string(),
+        "corpus payload failed to parse: malformed log line 2: xys-0 Sun Sep 26 04:45:53 PDT 2004 \
+         [cfg.shelf:info]: shelf=0 model=C loop=0 adapter=8 position=0 bays=13"
     );
 }
 
