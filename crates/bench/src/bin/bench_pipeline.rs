@@ -49,6 +49,7 @@
 //! synthetic slowdown).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,12 +112,31 @@ const GATED_ALLOCS: [&str; 2] = ["corpus_file", "corpus_mmap"];
 /// Allocations observed process-wide, via [`CountingAlloc`].
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Allocations made by the current thread, via [`CountingAlloc`]:
+    /// what the steady-state probe reads, so allocations by concurrently
+    /// running threads (sibling tests under the parallel test runner)
+    /// cannot leak into its count. Const-initialised and drop-free, so
+    /// touching it never allocates.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
 /// A [`System`]-delegating allocator that counts allocation calls, so the
 /// gate can hold the parsed hot path to zero steady-state allocations.
-/// Counters use `Relaxed` ordering: the probe and the counters round are
-/// single-threaded at the measurement boundaries, and an off-by-a-few
+/// Each call bumps both the process-wide counter (what the counters
+/// round's allocs/line divides, since its engine runs on worker threads)
+/// and the calling thread's own (what the steady-state probe reads). The
+/// process-wide counter uses `Relaxed` ordering: the counters round is
+/// single-threaded at its measurement boundaries, and an off-by-a-few
 /// count under concurrency would only show up in ungated diagnostics.
 struct CountingAlloc;
+
+impl CountingAlloc {
+    fn count() {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        THREAD_ALLOCS.with(|n| n.set(n.get() + 1));
+    }
+}
 
 // SAFETY: every method delegates directly to `System`, which upholds the
 // GlobalAlloc contract; the counter increments have no effect on the
@@ -124,13 +144,13 @@ struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwarded verbatim to `System::alloc`.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        Self::count();
         System.alloc(layout)
     }
 
     // SAFETY: forwarded verbatim to `System::alloc_zeroed`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        Self::count();
         System.alloc_zeroed(layout)
     }
 
@@ -142,7 +162,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: forwarded verbatim to `System::realloc`; a grow-in-place is
     // still one allocator round trip, so it counts.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        Self::count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -150,13 +170,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by every thread in the process.
 fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
 }
 
+/// Allocations made so far by the calling thread.
+fn thread_allocations() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
+}
+
 /// The zero-allocation steady-state contract: feed one classifier the
-/// same rendered noise-event text twice and count allocations during the
-/// second pass. The first pass warms the tail scratch buffer; after that,
+/// same rendered noise-event text twice and count this thread's
+/// allocations during the second pass. The first pass warms the tail scratch buffer; after that,
 /// the borrowed-slice parse path (`feed_bytes` → `LogLineRef::parse` →
 /// `feed_view`) must not touch the allocator at all. Returns the
 /// second-pass allocation count (the gate requires exactly zero).
@@ -175,11 +201,11 @@ fn steady_state_probe() -> u64 {
     classifier
         .feed_bytes(text.as_bytes())
         .expect("noise parses");
-    let before = allocations();
+    let before = thread_allocations();
     classifier
         .feed_bytes(text.as_bytes())
         .expect("noise parses");
-    allocations() - before
+    thread_allocations() - before
 }
 
 #[derive(Debug, Clone)]
@@ -1003,5 +1029,23 @@ mod tests {
     #[test]
     fn steady_state_parse_loop_makes_zero_allocations() {
         assert_eq!(steady_state_probe(), 0);
+    }
+
+    /// The probe counts only its own thread's allocations, so a sibling
+    /// test allocating at the same time cannot fail it.
+    #[test]
+    fn steady_state_probe_ignores_other_threads_allocations() {
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        // lint: allow(no-raw-spawn) a concurrent allocator, joined by the scope
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    std::hint::black_box(vec![0u8; 64]);
+                }
+            });
+            let worst = (0..20).map(|_| steady_state_probe()).max();
+            stop.store(true, Ordering::Relaxed);
+            assert_eq!(worst, Some(0));
+        });
     }
 }

@@ -797,6 +797,13 @@ impl CorpusReader {
     /// Reads, integrity-checks, and returns one shard's corpus text via
     /// buffered positioned reads — the `FileSource` read path.
     ///
+    /// The frame is read and verified once by
+    /// [`CorpusReader::read_shard_frame`]; the header is then drained off
+    /// the front of that same buffer, which becomes the returned `String`.
+    /// Each shard costs one checksum pass, one UTF-8 check, and one
+    /// allocation: the payload shifts down in place and is never copied
+    /// into a second buffer.
+    ///
     /// # Errors
     ///
     /// [`CorpusError::Frame`] when the frame is corrupt (truncation, bad
@@ -809,14 +816,15 @@ impl CorpusReader {
     ///
     /// Panics if `shard` is out of range.
     pub fn read_shard_text(&self, shard: usize) -> Result<String, CorpusError> {
-        let bytes = self.read_shard_frame(shard)?;
-        let framed = |source| CorpusError::Frame {
+        let mut payload = self.read_shard_frame(shard)?;
+        payload.drain(..HEADER_LEN);
+        String::from_utf8(payload).map_err(|e| CorpusError::Frame {
             shard,
             segment: self.manifest.shards[shard].segment,
-            source,
-        };
-        let (_, text) = frame::decode_frame_text(&bytes).map_err(framed)?;
-        Ok(text.to_owned())
+            source: FrameError::PayloadNotUtf8 {
+                at: e.utf8_error().valid_up_to(),
+            },
+        })
     }
 
     /// Reads and integrity-checks one shard's *encoded frame* — header and

@@ -15,8 +15,8 @@
 //! boundary still aligns with the current chunk plan, then absorbs only
 //! the chunks past it. Cold and resumed runs are bit-identical because
 //! the fold sequence is identical: the snapshot *is* the fold state after
-//! the covered chunks, and [`crate::Engine`] (private) feeds the
-//! remaining partials in the same order a cold run would.
+//! the covered chunks, and the engine (the private `exec` module) feeds
+//! the remaining partials in the same order a cold run would.
 //!
 //! [`Pipeline::run_source_checkpointed`]: crate::Pipeline::run_source_checkpointed
 //! [`Pipeline::resume_from`]: crate::Pipeline::resume_from

@@ -59,8 +59,11 @@ fn corpus_system_ids(reader: &CorpusReader, shard: usize) -> Vec<SystemId> {
 
 /// A [`Source`] over an on-disk corpus using buffered positioned reads:
 /// open the segment file, seek to the shard's frame, read exactly the
-/// frame, verify, hand the text to the transport. Cheap to open (only the
-/// manifest is read) and reads only the shards the engine asks for.
+/// frame, verify it once, and hand the text to the transport in the very
+/// buffer it was read into ([`CorpusReader::read_shard_text`]: one
+/// checksum pass, one UTF-8 check, no second payload buffer). Cheap to
+/// open (only the manifest is read) and reads only the shards the engine
+/// asks for.
 #[derive(Debug)]
 pub struct FileSource {
     reader: CorpusReader,

@@ -15,8 +15,8 @@
 use std::path::{Path, PathBuf};
 
 use ssfa::logs::{
-    encode_frame, CascadeStyle, CorpusError, CorpusReader, CorpusWriter, Strictness, HEADER_LEN,
-    MANIFEST_NAME,
+    encode_frame, CascadeStyle, CorpusError, CorpusReader, CorpusWriter, FrameError, Strictness,
+    HEADER_LEN, MANIFEST_NAME,
 };
 use ssfa::model::SystemId;
 use ssfa::pipeline::Source;
@@ -62,6 +62,33 @@ fn flip_byte(path: &Path, offset: usize, mask: u8) {
     let mut bytes = std::fs::read(path).unwrap();
     bytes[offset] ^= mask;
     std::fs::write(path, bytes).unwrap();
+}
+
+/// Edits shard 0's payload in place with `edit`, then re-encodes the
+/// frame with `encode_frame` and rewrites the manifest digest to match,
+/// so the result passes every checksum and manifest check. The edit gets
+/// a slice, so the payload keeps its length and every later frame its
+/// offset.
+fn reencode_shard0(dir: &Path, edit: impl FnOnce(&mut [u8])) {
+    let entry = CorpusReader::open(dir).unwrap().manifest().shards[0];
+    let seg = segment0(dir);
+    let mut bytes = std::fs::read(&seg).unwrap();
+    let start = entry.offset as usize + HEADER_LEN;
+    let end = start + entry.payload_len as usize;
+    let mut payload = bytes[start..end].to_vec();
+    edit(&mut payload);
+    let mut frame = Vec::new();
+    let header = encode_frame(&mut frame, entry.system_id, entry.line_count, &payload);
+    bytes[entry.offset as usize..end].copy_from_slice(&frame);
+    std::fs::write(&seg, bytes).unwrap();
+    let manifest_path = dir.join(MANIFEST_NAME);
+    let text = std::fs::read_to_string(&manifest_path).unwrap();
+    let doctored = text.replace(
+        &format!("{:016x}", entry.checksum),
+        &format!("{:016x}", header.checksum),
+    );
+    assert_ne!(doctored, text, "digest not found in manifest");
+    std::fs::write(&manifest_path, doctored).unwrap();
 }
 
 #[test]
@@ -204,29 +231,12 @@ fn trailing_garbage_after_the_last_frame_is_typed_and_pinned() {
 fn deep_verify_rejects_a_malformed_line_behind_a_valid_frame() {
     let tmp = TempDir::new("deep-verify");
     build_corpus(&tmp.0, 0.001, 3);
-    let entry = CorpusReader::open(&tmp.0).unwrap().manifest().shards[0];
-    let seg = segment0(&tmp.0);
-    let mut bytes = std::fs::read(&seg).unwrap();
-    let start = entry.offset as usize + HEADER_LEN;
-    let end = start + entry.payload_len as usize;
-    let mut payload = bytes[start..end].to_vec();
-    // Line 2's host token "sys-N" becomes "xys-N": same length, so every
-    // later frame keeps its offset.
-    let line2 = payload.iter().position(|&b| b == b'\n').unwrap() + 1;
-    assert_eq!(payload[line2], b's');
-    payload[line2] = b'x';
-    let mut frame = Vec::new();
-    let header = encode_frame(&mut frame, entry.system_id, entry.line_count, &payload);
-    bytes[entry.offset as usize..end].copy_from_slice(&frame);
-    std::fs::write(&seg, bytes).unwrap();
-    let manifest_path = tmp.0.join(MANIFEST_NAME);
-    let text = std::fs::read_to_string(&manifest_path).unwrap();
-    let doctored = text.replace(
-        &format!("{:016x}", entry.checksum),
-        &format!("{:016x}", header.checksum),
-    );
-    assert_ne!(doctored, text, "digest not found in manifest");
-    std::fs::write(&manifest_path, doctored).unwrap();
+    // Line 2's host token "sys-N" becomes "xys-N".
+    reencode_shard0(&tmp.0, |payload| {
+        let line2 = payload.iter().position(|&b| b == b'\n').unwrap() + 1;
+        assert_eq!(payload[line2], b's');
+        payload[line2] = b'x';
+    });
 
     let reader = CorpusReader::open(&tmp.0).unwrap();
     reader
@@ -239,6 +249,50 @@ fn deep_verify_rejects_a_malformed_line_behind_a_valid_frame() {
         "corpus payload failed to parse: malformed log line 2: xys-0 Sun Sep 26 04:45:53 PDT 2004 \
          [cfg.shelf:info]: shelf=0 model=C loop=0 adapter=8 position=0 bays=13"
     );
+}
+
+/// A frame whose checksum is valid but whose payload is not UTF-8: the
+/// frame itself reads back, while `read_shard_text` and both disk sources
+/// report the same typed error at the same offset.
+#[test]
+fn non_utf8_payload_behind_a_valid_checksum_is_typed_and_pinned() {
+    let tmp = TempDir::new("not-utf8");
+    let base = build_corpus(&tmp.0, 0.001, 3);
+    // 0xFF never occurs in UTF-8; bytes 0..5 stay valid.
+    reencode_shard0(&tmp.0, |payload| payload[5] = 0xFF);
+
+    let reader = CorpusReader::open(&tmp.0).unwrap();
+    reader
+        .read_shard_frame(0)
+        .expect("the frame's checksum and manifest digest agree");
+    let err = reader.read_shard_text(0).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            CorpusError::Frame {
+                shard: 0,
+                segment: 0,
+                source: FrameError::PayloadNotUtf8 { at: 5 },
+            }
+        ),
+        "{err:?}"
+    );
+    let message =
+        "corpus shard 0 (segment 0): frame payload is not UTF-8 (first invalid byte at 5)";
+    assert_eq!(err.to_string(), message);
+
+    let pipeline = base.threads(1).chunk_systems(1);
+    let file = FileSource::open(&tmp.0).unwrap();
+    let mmap = MmapSource::open(&tmp.0).unwrap();
+    for (name, source) in [("file", &file as &dyn Source), ("mmap", &mmap)] {
+        match pipeline.run_source(source).unwrap_err() {
+            PipelineError::Worker { what } => assert!(
+                what.ends_with(&format!("panicked: {message}")),
+                "{name}: strict abort carries the read path's message: {what}"
+            ),
+            other => panic!("{name}: expected a worker abort, got {other:?}"),
+        }
+    }
 }
 
 /// One flipped payload byte in shard k, analyzed leniently: exactly that
