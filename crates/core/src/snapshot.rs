@@ -2,9 +2,10 @@
 //! the incremental analysis state.
 //!
 //! A snapshot is a versioned little-endian byte image of the fold's
-//! accumulator (`AnalysisInput` topology maps, lifetimes, failures) plus
-//! its partial count. The encoding is *canonical*: the same fold state
-//! always serializes to identical bytes (`BTreeMap`s iterate in key
+//! accumulator (the three `AnalysisInput` topology maps — systems,
+//! shelves, RAID groups — then lifetimes and failures) plus its partial
+//! count. The encoding is *canonical*: the same fold state always
+//! serializes to identical bytes (`BTreeMap`s iterate in key
 //! order; vectors are written in their current append order, which the
 //! fold re-establishes deterministically), so checkpoint equality can be
 //! checked bytewise and checkpoint digests are stable across runs.
@@ -39,7 +40,7 @@ use crate::study::StudyFold;
 
 /// The snapshot schema version this build writes and reads. Bump it on
 /// any layout change — old snapshots are refused, never reinterpreted.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Errors from [`StudyFold::from_snapshot`], each with a pinned
 /// `Display` rendering (the negative-path suite asserts exact messages).
@@ -435,17 +436,6 @@ pub(crate) fn encode(acc: &AnalysisInput, partials: usize) -> Vec<u8> {
         put_u32(&mut out, id.0);
         put_raid_group_meta(&mut out, meta);
     }
-    put_len(&mut out, acc.topology.slot_to_group.len());
-    for (&slot, &group) in &acc.topology.slot_to_group {
-        put_slot(&mut out, slot);
-        put_u32(&mut out, group.0);
-    }
-    put_len(&mut out, acc.topology.device_to_slot.len());
-    for (&(system, device), &slot) in &acc.topology.device_to_slot {
-        put_u32(&mut out, system.0);
-        put_device(&mut out, device);
-        put_slot(&mut out, slot);
-    }
 
     put_len(&mut out, acc.lifetimes.len());
     for lt in &acc.lifetimes {
@@ -481,19 +471,6 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<(AnalysisInput, usize), SnapshotErr
     for _ in 0..n {
         let id = RaidGroupId(r.u32("raid group id")?);
         topology.raid_groups.insert(id, r.raid_group_meta()?);
-    }
-    let n = r.len("slot map count")?;
-    for _ in 0..n {
-        let slot = r.slot("slot map slot")?;
-        let group = RaidGroupId(r.u32("slot map group")?);
-        topology.slot_to_group.insert(slot, group);
-    }
-    let n = r.len("device map count")?;
-    for _ in 0..n {
-        let system = SystemId(r.u32("device map system")?);
-        let device = r.device("device map device")?;
-        let slot = r.slot("device map slot")?;
-        topology.device_to_slot.insert((system, device), slot);
     }
 
     let n = r.len("lifetime count")?;
@@ -596,14 +573,17 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_refused_with_pinned_display() {
-        let mut image = sample_fold().to_snapshot();
-        image[0..4].copy_from_slice(&2u32.to_le_bytes());
-        let err = StudyFold::from_snapshot(&image).unwrap_err();
-        assert_eq!(err, SnapshotError::UnsupportedVersion { found: 2 });
-        assert_eq!(
-            err.to_string(),
-            "unsupported snapshot version 2 (this build reads version 1)"
-        );
+        // The previous schema and an unknown future one are refused alike.
+        for found in [1u32, 3] {
+            let mut image = sample_fold().to_snapshot();
+            image[0..4].copy_from_slice(&found.to_le_bytes());
+            let err = StudyFold::from_snapshot(&image).unwrap_err();
+            assert_eq!(err, SnapshotError::UnsupportedVersion { found });
+            assert_eq!(
+                err.to_string(),
+                format!("unsupported snapshot version {found} (this build reads version 2)")
+            );
+        }
     }
 
     #[test]

@@ -329,12 +329,8 @@ impl IngestBus {
     /// admission is a queue push; the tenant's absorber classifies
     /// asynchronously.
     pub fn admit(&self, tenant: &str, session: &str, seq: u64, frame: Vec<u8>) -> Admission {
-        let cell = {
-            let tenants = self.tenants.lock().expect("bus lock poisoned");
-            match tenants.get(tenant) {
-                Some(cell) => Arc::clone(cell),
-                None => return Admission::Quarantined,
-            }
+        let Some(cell) = self.cell(tenant) else {
+            return Admission::Quarantined;
         };
         let mut inner = cell.inner.lock().expect("tenant lock poisoned");
         if inner.quarantined.is_some() {
@@ -421,8 +417,7 @@ impl IngestBus {
     /// The `ACK` payload for `(tenant, session)`: authoritative cursor
     /// plus quarantine reason.
     pub fn cursor(&self, tenant: &str, session: &str) -> (u64, Option<String>) {
-        let tenants = self.tenants.lock().expect("bus lock poisoned");
-        let Some(cell) = tenants.get(tenant) else {
+        let Some(cell) = self.cell(tenant) else {
             return (0, None);
         };
         let inner = cell.inner.lock().expect("tenant lock poisoned");
@@ -438,7 +433,11 @@ impl IngestBus {
     ///
     /// Unknown tenant, relayed to the client as `ERROR`.
     pub fn status(&self, tenant: &str) -> Result<Vec<u8>, String> {
-        let (fold, health) = self.snapshot(tenant)?;
+        let cell = self.known_cell(tenant)?;
+        let (fold, health) = {
+            let inner = cell.inner.lock().expect("tenant lock poisoned");
+            (inner.fold.clone(), inner.health.clone())
+        };
         let study = fold.finish();
         let mut sink = JsonSummarySink::new(Vec::new());
         sink.consume(&study, &health)
@@ -455,7 +454,13 @@ impl IngestBus {
     ///
     /// Unknown tenant.
     pub fn health_text(&self, tenant: &str) -> Result<String, String> {
-        let (_, health) = self.snapshot(tenant)?;
+        let cell = self.known_cell(tenant)?;
+        let health = cell
+            .inner
+            .lock()
+            .expect("tenant lock poisoned")
+            .health
+            .clone();
         Ok(format!(
             "{health}\nframes_shed={}\nlines_shed={}\n",
             health.frames_shed, health.lines_shed
@@ -472,13 +477,23 @@ impl IngestBus {
             .collect()
     }
 
-    fn snapshot(&self, tenant: &str) -> Result<(StudyFold, RunHealth), String> {
-        let tenants = self.tenants.lock().expect("bus lock poisoned");
-        let cell = tenants
+    /// A registered tenant's cell. The bus-wide lock is held only for
+    /// the map lookup, never while a tenant lock is taken, so one
+    /// tenant's STATUS (a whole-fold clone) cannot stall another
+    /// tenant's `hello` or `admit`.
+    fn cell(&self, tenant: &str) -> Option<Arc<TenantCell>> {
+        self.tenants
+            .lock()
+            .expect("bus lock poisoned")
             .get(tenant)
-            .ok_or_else(|| format!("unknown tenant `{tenant}`"))?;
-        let inner = cell.inner.lock().expect("tenant lock poisoned");
-        Ok((inner.fold.clone(), inner.health.clone()))
+            .map(Arc::clone)
+    }
+
+    /// [`IngestBus::cell`], refusing an unknown tenant with the message
+    /// relayed to the client as `ERROR`.
+    fn known_cell(&self, tenant: &str) -> Result<Arc<TenantCell>, String> {
+        self.cell(tenant)
+            .ok_or_else(|| format!("unknown tenant `{tenant}`"))
     }
 
     /// Graceful drain: lets every absorber finish its queue, joins them
@@ -777,6 +792,37 @@ mod tests {
         assert_eq!(report.health.shards_total, 2);
         assert_eq!(report.health.shards_dropped, 1);
         assert_eq!(report.health.shards_processed, 1);
+    }
+
+    #[test]
+    fn pending_status_does_not_stall_another_tenants_admit() {
+        let bus = bus(16, 4);
+        bus.hello("A", "s", Strictness::Lenient).unwrap();
+        bus.hello("B", "s", Strictness::Lenient).unwrap();
+        let cell_a = bus.cell("A").expect("tenant A registered");
+        let held = cell_a.inner.lock().expect("tenant lock poisoned");
+        let bus = &bus;
+        let (sent, admitted) = std::sync::mpsc::channel();
+        // lint: allow(no-raw-spawn) two scoped callers, joined before the test returns
+        thread::scope(|scope| {
+            let status = scope.spawn(|| bus.status("A"));
+            // Let the STATUS call reach A's cell lock. The assertion
+            // below holds however long that takes; the pause only makes
+            // a bus lock held across the wait show up reliably.
+            thread::sleep(std::time::Duration::from_millis(100));
+            scope.spawn(move || {
+                let _ = sent.send(bus.admit("B", "s", 0, empty_frame(0)));
+            });
+            let outcome = admitted.recv_timeout(std::time::Duration::from_secs(5));
+            drop(held);
+            assert_eq!(
+                outcome,
+                Ok(Admission::Admitted),
+                "tenant B's admit waited on tenant A's pending STATUS"
+            );
+            status.join().expect("status caller panicked").unwrap();
+        });
+        bus.drain();
     }
 
     #[test]

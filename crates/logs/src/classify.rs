@@ -117,12 +117,18 @@ pub struct RaidGroupMeta {
     pub slots: Vec<SlotAddr>,
 }
 
-/// The fleet topology as recovered from configuration records.
+/// The fleet topology as recovered from configuration records: the
+/// systems, shelves, and RAID groups the study reads.
 ///
 /// Every map is a [`BTreeMap`], not a `HashMap`: analysis code iterates
 /// these (AFR denominators, per-shelf tallies), and iteration order must
 /// not depend on hasher seeds or insertion history for report output to be
 /// byte-identical across shardings.
+///
+/// The device → slot and slot → RAID group lookups the classifier needs
+/// to place a RAID event are not part of it. They are private to each
+/// [`Classifier`] and dropped with it, so a partial carries only what the
+/// run-wide fold, its snapshots, and the daemon's STATUS read.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Topology {
     /// Systems by id.
@@ -131,16 +137,27 @@ pub struct Topology {
     pub shelves: BTreeMap<ShelfId, ShelfMeta>,
     /// RAID groups by id.
     pub raid_groups: BTreeMap<RaidGroupId, RaidGroupMeta>,
-    /// Slot → RAID group membership.
-    pub slot_to_group: BTreeMap<SlotAddr, RaidGroupId>,
-    /// (system, device address) → slot.
-    pub device_to_slot: BTreeMap<(SystemId, DeviceAddr), SlotAddr>,
 }
 
-impl Topology {
-    /// Resolves the placement of a device within a system.
+/// A classifier's device placement lookups, built from the `cfg.*`
+/// records it has been fed: "keeping track of events generated by lower
+/// layers" (paper §2.5) so each RAID event resolves to its slot, RAID
+/// group, and FC loop. They live exactly as long as the classifier — a
+/// whole chunk, across its shard boundaries — and no report reads them.
+#[derive(Debug, Default)]
+struct DeviceLookup {
+    /// Slot → RAID group membership.
+    slot_to_group: BTreeMap<SlotAddr, RaidGroupId>,
+    /// (system, device address) → slot.
+    device_to_slot: BTreeMap<(SystemId, DeviceAddr), SlotAddr>,
+}
+
+impl DeviceLookup {
+    /// Resolves the placement of a device within a system; the FC loop
+    /// comes from the slot's shelf record.
     fn resolve(
         &self,
+        shelves: &BTreeMap<ShelfId, ShelfMeta>,
         host: SystemId,
         device: DeviceAddr,
     ) -> Result<(SlotAddr, RaidGroupId, LoopId), LogError> {
@@ -157,8 +174,7 @@ impl Topology {
             .ok_or_else(|| LogError::MissingTopology {
                 what: format!("raid group of {slot}"),
             })?;
-        let shelf = self
-            .shelves
+        let shelf = shelves
             .get(&slot.shelf)
             .ok_or_else(|| LogError::MissingTopology {
                 what: format!("shelf {}", slot.shelf),
@@ -240,23 +256,18 @@ impl AnalysisInput {
     }
 
     /// Folds one partial into this accumulator *without* re-establishing
-    /// canonical order: topology maps union, lifetimes and failures
-    /// append. This is the incremental half of [`AnalysisInput::merge`] —
-    /// absorb each partial as it arrives (in shard order), then call
-    /// [`AnalysisInput::canonicalize`] once at the end, and the result is
-    /// bit-identical to a single batched `merge` of the same partials.
+    /// canonical order: the three topology maps union, lifetimes and
+    /// failures append. This is the incremental half of
+    /// [`AnalysisInput::merge`] — absorb each partial as it arrives (in
+    /// shard order), then call [`AnalysisInput::canonicalize`] once at the
+    /// end, and the result is bit-identical to a single batched `merge` of
+    /// the same partials.
     pub fn absorb(&mut self, partial: AnalysisInput) {
         self.topology.systems.extend(partial.topology.systems);
         self.topology.shelves.extend(partial.topology.shelves);
         self.topology
             .raid_groups
             .extend(partial.topology.raid_groups);
-        self.topology
-            .slot_to_group
-            .extend(partial.topology.slot_to_group);
-        self.topology
-            .device_to_slot
-            .extend(partial.topology.device_to_slot);
         self.lifetimes.extend(partial.lifetimes);
         self.failures.extend(partial.failures);
     }
@@ -420,6 +431,7 @@ pub fn classify_parallel(book: &LogBook, threads: usize) -> Result<AnalysisInput
 #[derive(Debug, Default)]
 pub struct Classifier {
     topology: Topology,
+    lookup: DeviceLookup,
     lifetimes: Vec<DiskLifetime>,
     open: HashMap<DiskInstanceId, usize>,
     failures: Vec<FailureRecord>,
@@ -506,6 +518,7 @@ impl Classifier {
     pub fn feed_view(&mut self, line: &LogLineRef<'_>) -> Result<(), LogError> {
         let Classifier {
             topology,
+            lookup,
             lifetimes,
             open,
             failures,
@@ -551,7 +564,7 @@ impl Classifier {
                 // Pre-register the device address of every bay of this shelf.
                 for bay in 0..*bays {
                     let device = DeviceAddr::new(*adapter, position * 16 + bay);
-                    topology
+                    lookup
                         .device_to_slot
                         .insert((line.host, device), SlotAddr { shelf: *shelf, bay });
                 }
@@ -563,7 +576,7 @@ impl Classifier {
             } => {
                 let slots = slots.to_vec();
                 for slot in &slots {
-                    topology.slot_to_group.insert(*slot, *rg);
+                    lookup.slot_to_group.insert(*slot, *rg);
                 }
                 topology.raid_groups.insert(
                     *rg,
@@ -585,9 +598,9 @@ impl Classifier {
                         what: format!("serial {serial}"),
                     }
                 })?;
-                topology.device_to_slot.insert((line.host, *device), *slot);
+                lookup.device_to_slot.insert((line.host, *device), *slot);
                 let rg =
-                    *topology
+                    *lookup
                         .slot_to_group
                         .get(slot)
                         .ok_or_else(|| LogError::MissingTopology {
@@ -632,7 +645,8 @@ impl Classifier {
                         what: format!("serial {serial}"),
                     }
                 })?;
-                let (slot, raid_group, fc_loop) = topology.resolve(line.host, *device)?;
+                let (slot, raid_group, fc_loop) =
+                    lookup.resolve(&topology.shelves, line.host, *device)?;
                 failures.push(FailureRecord {
                     detected_at: line.at,
                     failure_type,
@@ -814,6 +828,8 @@ impl Classifier {
     }
 
     /// [`Classifier::finish`], also returning the data-quality tally.
+    /// The classifier's device lookups are dropped here; the partial
+    /// carries only the [`Topology`] the study reads.
     ///
     /// # Errors
     ///
@@ -1001,16 +1017,50 @@ mod tests {
 
     #[test]
     fn shelf_records_preregister_all_bay_devices() {
-        let book: LogBook = cfg_lines().into_iter().collect();
-        let input = classify(&book).unwrap();
+        let mut classifier = Classifier::new();
+        for line in cfg_lines() {
+            classifier.feed_line(&line).unwrap();
+        }
         // Shelf at position 1 with 2 bays: devices 8.16 and 8.17.
-        assert!(input
-            .topology
-            .device_to_slot
-            .contains_key(&(SystemId(1), DeviceAddr::new(8, 16))));
-        assert!(input
-            .topology
-            .device_to_slot
-            .contains_key(&(SystemId(1), DeviceAddr::new(8, 17))));
+        let devices = &classifier.lookup.device_to_slot;
+        assert!(devices.contains_key(&(SystemId(1), DeviceAddr::new(8, 16))));
+        assert!(devices.contains_key(&(SystemId(1), DeviceAddr::new(8, 17))));
+    }
+
+    #[test]
+    fn raid_event_in_a_later_shard_resolves_against_earlier_cfg_records() {
+        let cfg_shard: String = cfg_lines().iter().map(|l| format!("{l}\n")).collect();
+        let raid_shard = format!(
+            "{}\n",
+            LogLine::new(
+                SystemId(1),
+                SimTime::from_secs(2_000_000),
+                LogEvent::RaidDiskFailed {
+                    device: DeviceAddr::new(8, 17),
+                    serial: DiskInstanceId(100).serial(),
+                },
+            )
+        );
+
+        // One chunk classifier, two shards: the lookups built from the
+        // first shard's `cfg.*` records must outlive the shard boundary.
+        let mut chunk = Classifier::new();
+        chunk.feed_bytes(cfg_shard.as_bytes()).unwrap();
+        chunk.flush_tail().unwrap();
+        chunk.feed_bytes(raid_shard.as_bytes()).unwrap();
+        let input = chunk.finish().unwrap();
+        assert_eq!(input.failures.len(), 1);
+        let failure = &input.failures[0];
+        assert_eq!(failure.failure_type, FailureType::Disk);
+        assert_eq!(failure.shelf, ShelfId(10));
+        assert_eq!(failure.raid_group, RaidGroupId(3));
+        assert_eq!(failure.fc_loop, LoopId(5));
+
+        // The same shard alone has nothing to resolve against.
+        let mut alone = Classifier::new();
+        assert!(matches!(
+            alone.feed_bytes(raid_shard.as_bytes()),
+            Err(LogError::MissingTopology { .. })
+        ));
     }
 }

@@ -807,8 +807,8 @@ fn swappable(raw: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::{classify, Classifier, Strictness};
-    use crate::corpus::LogBook;
+    use crate::classify::{classify, classify_with, Classifier, Strictness};
+    use crate::corpus::{LogBook, LogError};
     use crate::render::{render_support_log, NoiseParams};
     use crate::shard::{render_system_log, ShardPlan};
     use crate::CascadeStyle;
@@ -993,16 +993,39 @@ mod tests {
     fn orphan_rewrite_targets_an_undeclared_device() {
         let fleet = Fleet::build(&FleetConfig::paper().scaled(0.002), 3);
         let out = Simulator::default().run(&fleet, 3);
-        let book = render_support_log(&fleet, &out, CascadeStyle::RaidOnly);
-        let input = classify(&LogBook::from_text(&book.to_text()).unwrap()).unwrap();
-        assert!(
-            !input
-                .topology
-                .device_to_slot
-                .keys()
-                .any(|(_, device)| *device == ORPHAN_DEVICE),
+        let text = render_support_log(&fleet, &out, CascadeStyle::RaidOnly).to_text();
+        // Point every RAID event at the orphan device. If any host had
+        // declared it, that host's rewritten events would still resolve.
+        let mut orphaned = 0u64;
+        let mut rewritten = String::with_capacity(text.len());
+        for line in text.lines() {
+            match orphan_raid_event(line.as_bytes()) {
+                Some(bytes) => {
+                    orphaned += 1;
+                    rewritten.push_str(std::str::from_utf8(&bytes).unwrap());
+                }
+                None => rewritten.push_str(line),
+            }
+            rewritten.push('\n');
+        }
+        assert!(orphaned > 0, "the sample fleet must log RAID events");
+        let book = LogBook::from_text(&rewritten).unwrap();
+
+        let orphan = format!("device {ORPHAN_DEVICE} on sys-");
+        match classify(&book) {
+            Err(LogError::MissingTopology { what }) => assert!(
+                what.starts_with(&orphan),
+                "strict classify must stop at the orphan device, got `{what}`"
+            ),
+            other => panic!("strict classify must fail with MissingTopology, got {other:?}"),
+        }
+        let (input, health) = classify_with(&book, Strictness::Lenient).unwrap();
+        assert_eq!(
+            health.missing_topology_skipped, orphaned,
             "a fleet declared the orphan device; pick a different sentinel"
         );
+        assert_eq!(health.malformed_skipped, 0);
+        assert!(input.failures.is_empty());
     }
 
     #[test]

@@ -12,10 +12,12 @@
 //! exactly what an appending `CorpusWriter` run would have left behind.
 
 use std::path::{Path, PathBuf};
+use std::process::Command;
 
-use ssfa::logs::checkpoint::CheckpointWriter;
+use ssfa::core::SnapshotError;
+use ssfa::logs::checkpoint::{corpus_epoch_digest, CheckpointWriter, CHECKPOINT_NAME};
 use ssfa::logs::{CascadeStyle, Manifest, HEADER_LEN, MANIFEST_NAME};
-use ssfa::{FileSource, Pipeline};
+use ssfa::{FileSource, Pipeline, PipelineError};
 
 const SCALE: f64 = 0.002;
 const SEED: u64 = 7;
@@ -174,8 +176,70 @@ fn future_snapshot_version_is_refused_with_pinned_message() {
         .expect_err("future snapshot schema must be refused");
     assert_eq!(
         err.to_string(),
-        "checkpoint snapshot failed: unsupported snapshot version 2 \
-         (this build reads version 1)"
+        "checkpoint snapshot failed: unsupported snapshot version 3 \
+         (this build reads version 2)"
+    );
+}
+
+/// A store written under the previous snapshot schema (version 1) is
+/// refused by `resume_from` and by `ssfa corpus analyze --resume`, and
+/// left as it was found.
+#[test]
+fn version_1_store_is_refused_by_resume_and_the_cli() {
+    let full = TempDir::new("v1-corpus");
+    let ckpt = TempDir::new("v1-store");
+    build_corpus(&full.0);
+    let corpus = {
+        let text = std::fs::read_to_string(full.0.join(MANIFEST_NAME)).expect("manifest reads");
+        Manifest::parse(&text).expect("manifest parses")
+    };
+    // One epoch holding a version-1 image of an empty fold: the version
+    // word, the partial count, then seven zero section lengths.
+    let mut payload = 1u32.to_le_bytes().to_vec();
+    payload.resize(4 + 8 * 8, 0);
+    let mut writer = CheckpointWriter::create(&ckpt.0, 1, SEED, CascadeStyle::RaidOnly)
+        .expect("version-1 store creates");
+    writer
+        .write_epoch(0..1, 1, corpus_epoch_digest(&corpus, 0..1), &payload)
+        .expect("version-1 epoch writes");
+    let store_before = std::fs::read(ckpt.0.join(CHECKPOINT_NAME)).expect("store manifest reads");
+
+    let source = FileSource::open(&full.0).expect("corpus opens");
+    let err = Pipeline::new()
+        .scale(SCALE)
+        .seed(SEED)
+        .resume_from(&source, &ckpt.0)
+        .expect_err("a version-1 store must be refused");
+    assert!(
+        matches!(
+            err,
+            PipelineError::Snapshot(SnapshotError::UnsupportedVersion { found: 1 })
+        ),
+        "{err:?}"
+    );
+    let message = "unsupported snapshot version 1 (this build reads version 2)";
+    assert_eq!(
+        err.to_string(),
+        format!("checkpoint snapshot failed: {message}")
+    );
+    assert_eq!(source.shard_reads(), 0, "a refused resume reads no shard");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_ssfa"))
+        .args(["corpus", "analyze"])
+        .arg(&full.0)
+        .arg("--resume")
+        .arg(&ckpt.0)
+        .output()
+        .expect("ssfa runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "the CLI must exit non-zero");
+    assert!(stderr.contains(message), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "no report for a refused resume");
+
+    assert_eq!(
+        std::fs::read(ckpt.0.join(CHECKPOINT_NAME)).expect("store manifest reads"),
+        store_before,
+        "a refused store is left untouched"
     );
 }
 

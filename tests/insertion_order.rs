@@ -17,7 +17,7 @@ use ssfa_model::SimDuration;
 const SCALE: f64 = 0.004;
 const SEED: u64 = 11;
 
-/// Rebuilds `input` with each topology map re-inserted in a permuted
+/// Rebuilds `input` with each of the three topology maps re-inserted in a permuted
 /// order, and lifetimes/failures concatenated from rotated halves (then
 /// re-canonicalized via `merge`, exactly like the sharded pipeline does).
 fn permuted(input: &AnalysisInput, rotate: usize) -> AnalysisInput {
@@ -35,8 +35,6 @@ fn permuted(input: &AnalysisInput, rotate: usize) -> AnalysisInput {
         systems: reinsert(&input.topology.systems, rotate),
         shelves: reinsert(&input.topology.shelves, rotate),
         raid_groups: reinsert(&input.topology.raid_groups, rotate),
-        slot_to_group: reinsert(&input.topology.slot_to_group, rotate),
-        device_to_slot: reinsert(&input.topology.device_to_slot, rotate),
     };
     let mut lifetimes = input.lifetimes.clone();
     let mut failures = input.failures.clone();
